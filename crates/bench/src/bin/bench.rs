@@ -10,28 +10,65 @@
 use bench::{calibrate, ingest, kernels, obs_overhead, pipeline};
 use std::process::ExitCode;
 
-fn run_kernels(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
+/// The subcommand flags: `--json [path]` and `--quick` everywhere, plus
+/// `--chaos-seed <int>` for `pipeline` only.
+struct Flags {
+    json_path: Option<String>,
+    quick: bool,
+    chaos_seed: u64,
+}
+
+impl Flags {
+    /// Writes the artifact when `--json` was given.
+    fn write_json(&self, doc: impl FnOnce() -> String) {
+        if let Some(path) = &self.json_path {
+            dod_obs::write_atomic(std::path::Path::new(path), doc().as_bytes())
+                .expect("write json");
+            println!("\nwrote {path}");
+        }
+    }
+}
+
+/// Parses `cmd`'s flags; a bare `--json` writes to `default_json`.
+/// Errors are printed and answer `None`.
+fn parse_flags(cmd: &str, args: &[String], default_json: &str) -> Option<Flags> {
+    let mut flags = Flags {
+        json_path: None,
+        quick: false,
+        chaos_seed: 1,
+    };
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_kernels.json".to_string(),
-                });
+                let path = it.next_if(|a| !a.starts_with("--"));
+                flags.json_path = Some(path.map_or(default_json, String::as_str).to_string());
             }
-            "--quick" => quick = true,
+            "--quick" => flags.quick = true,
+            "--chaos-seed" if cmd == "pipeline" => {
+                let Some(value) = it.next() else {
+                    eprintln!("--chaos-seed needs a value");
+                    return None;
+                };
+                match value.parse() {
+                    Ok(seed) => flags.chaos_seed = seed,
+                    Err(e) => {
+                        eprintln!("--chaos-seed: {e}");
+                        return None;
+                    }
+                }
+            }
             other => {
-                eprintln!("unknown kernels flag: {other}");
-                return ExitCode::FAILURE;
+                eprintln!("unknown {cmd} flag: {other}");
+                return None;
             }
         }
     }
+    Some(flags)
+}
 
-    let min_time_s = if quick { 0.05 } else { 0.4 };
+fn run_kernels(flags: &Flags) -> ExitCode {
+    let min_time_s = if flags.quick { 0.05 } else { 0.4 };
     let rows = kernels::run_all(min_time_s);
     println!(
         "{:<22} {:>8} {:>16} {:>16} {:>9}",
@@ -43,85 +80,20 @@ fn run_kernels(args: &[String]) -> ExitCode {
             r.name, r.backend, r.pairs_per_sec, r.baseline_pairs_per_sec, r.speedup
         );
     }
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            kernels::to_json(&rows).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
+    flags.write_json(|| kernels::to_json(&rows));
     ExitCode::SUCCESS
 }
 
-fn run_calibrate(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_calibration.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown calibrate flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let min_time_s = if quick { 0.05 } else { 0.4 };
+fn run_calibrate(flags: &Flags) -> ExitCode {
+    let min_time_s = if flags.quick { 0.05 } else { 0.4 };
     let profile = calibrate::run_all(min_time_s);
     print!("{}", calibrate::render_table(&profile));
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(std::path::Path::new(&path), profile.to_json().as_bytes())
-            .expect("write json");
-        println!("\nwrote {path}");
-    }
+    flags.write_json(|| profile.to_json());
     ExitCode::SUCCESS
 }
 
-fn run_pipeline(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut chaos_seed = 1u64;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_pipeline.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            "--chaos-seed" => {
-                let Some(value) = it.next() else {
-                    eprintln!("--chaos-seed needs a value");
-                    return ExitCode::FAILURE;
-                };
-                chaos_seed = match value.parse() {
-                    Ok(seed) => seed,
-                    Err(e) => {
-                        eprintln!("--chaos-seed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown pipeline flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let rows = pipeline::run_all(quick, chaos_seed);
+fn run_pipeline(flags: &Flags) -> ExitCode {
+    let rows = pipeline::run_all(flags.quick, flags.chaos_seed);
     println!(
         "{:<8} {:>10} {:>9} {:>8} {:>11} {:>9} {:>12} {:>12} {:>11}",
         "bench",
@@ -148,39 +120,12 @@ fn run_pipeline(args: &[String]) -> ExitCode {
             r.backoff_ms
         );
     }
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            pipeline::to_json(&rows, chaos_seed).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
+    flags.write_json(|| pipeline::to_json(&rows, flags.chaos_seed));
     ExitCode::SUCCESS
 }
 
-fn run_obs_overhead(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_obs_overhead.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown obs-overhead flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let r = obs_overhead::run(quick);
+fn run_obs_overhead(flags: &Flags) -> ExitCode {
+    let r = obs_overhead::run(flags.quick);
     println!(
         "{:<12} {:>14} {:>14} {:>10} {:>8}",
         "bench", "null med us", "telemetry us", "overhead", "budget"
@@ -193,17 +138,10 @@ fn run_obs_overhead(args: &[String]) -> ExitCode {
         r.overhead_pct,
         bench::obs_overhead::OVERHEAD_BUDGET_PCT
     );
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            obs_overhead::to_json(&r, quick).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
+    flags.write_json(|| obs_overhead::to_json(&r, flags.quick));
     // Quick runs are smoke tests: too short to hold the budget to, so
     // they report without enforcing.
-    if !quick && !r.within_budget {
+    if !flags.quick && !r.within_budget {
         eprintln!(
             "telemetry overhead {:.2}% exceeds the {:.1}% budget",
             r.overhead_pct,
@@ -214,28 +152,8 @@ fn run_obs_overhead(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn run_ingest(args: &[String]) -> ExitCode {
-    let mut json_path: Option<String> = None;
-    let mut quick = false;
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => {
-                let next = it.peek().filter(|a| !a.starts_with("--"));
-                json_path = Some(match next {
-                    Some(_) => it.next().unwrap().clone(),
-                    None => "BENCH_ingest.json".to_string(),
-                });
-            }
-            "--quick" => quick = true,
-            other => {
-                eprintln!("unknown ingest flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let r = ingest::run(quick);
+fn run_ingest(flags: &Flags) -> ExitCode {
+    let r = ingest::run(flags.quick);
     println!(
         "{:<8} {:>13} {:>13} {:>13} {:>13} {:>7} {:>7}",
         "bench", "inserts/s", "removes/s", "static us", "churn us", "ratio", "epochs"
@@ -250,17 +168,10 @@ fn run_ingest(args: &[String]) -> ExitCode {
         r.latency_ratio,
         r.epochs
     );
-    if let Some(path) = json_path {
-        dod_obs::write_atomic(
-            std::path::Path::new(&path),
-            ingest::to_json(&r, quick).as_bytes(),
-        )
-        .expect("write json");
-        println!("\nwrote {path}");
-    }
+    flags.write_json(|| ingest::to_json(&r, flags.quick));
     // Quick runs are smoke tests: too short to hold the budget to, so
     // they report without enforcing.
-    if !quick && !r.within_budget {
+    if !flags.quick && !r.within_budget {
         eprintln!(
             "score latency under churn is {:.2}x the static baseline (budget {:.1}x)",
             r.latency_ratio,
@@ -273,12 +184,13 @@ fn run_ingest(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("kernels") => run_kernels(&args[1..]),
-        Some("calibrate") => run_calibrate(&args[1..]),
-        Some("pipeline") => run_pipeline(&args[1..]),
-        Some("obs-overhead") => run_obs_overhead(&args[1..]),
-        Some("ingest") => run_ingest(&args[1..]),
+    let cmd = args.first().map_or("", String::as_str);
+    let (default_json, run): (&str, fn(&Flags) -> ExitCode) = match cmd {
+        "kernels" => ("BENCH_kernels.json", run_kernels),
+        "calibrate" => ("BENCH_calibration.json", run_calibrate),
+        "pipeline" => ("BENCH_pipeline.json", run_pipeline),
+        "obs-overhead" => ("BENCH_obs_overhead.json", run_obs_overhead),
+        "ingest" => ("BENCH_ingest.json", run_ingest),
         _ => {
             eprintln!(
                 "usage: bench kernels  [--json [path]] [--quick]\n       \
@@ -287,7 +199,11 @@ fn main() -> ExitCode {
                  bench obs-overhead [--json [path]] [--quick]\n       \
                  bench ingest [--json [path]] [--quick]"
             );
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
         }
+    };
+    match parse_flags(cmd, &args[1..], default_json) {
+        Some(flags) => run(&flags),
+        None => ExitCode::FAILURE,
     }
 }

@@ -68,10 +68,11 @@
 //! the loop alive; `quit` or end-of-input ends it. `code` is stable and
 //! machine-readable: `bad_request`, `unknown_op`, `overloaded`,
 //! `deadline`, `dimension`, `panic`, `terminated`, or `pipeline`.
-//! `error` is human-readable prose and not part of the contract. The
-//! JSON parser below is hand-rolled (the workspace builds offline, and
-//! the request grammar is tiny); the writer side shares
-//! [`dod_obs::json`] with the trace recorder.
+//! `error` is human-readable prose and not part of the contract. A line
+//! that is not JSON, nests deeper than [`json::MAX_DEPTH`], or holds a
+//! number outside the `f64` range (`1e400`) answers `bad_request`.
+//! Requests are read with the shared [`dod_obs::json`] reader, and
+//! responses are written with its primitives.
 
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
@@ -79,191 +80,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dod_engine::{Engine, EngineError, EngineHealth, Request, Response, WindowConfig};
-use dod_obs::json;
+use dod_obs::json::{self, Json};
 use dod_obs::prom::PromWriter;
 use dod_obs::{FanoutRecorder, MetricsRecorder, Obs, Recorder};
 
 use crate::args::ServeArgs;
-
-// ---------------------------------------------------------------------
-// Minimal JSON reader.
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (no number distinction, no duplicate-key check —
-/// exactly enough for the request grammar above).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse_json(s: &str) -> Result<Json, String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing characters at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let Json::Str(key) = parse_value(b, pos)? else {
-                    return Err(format!("object key must be a string at byte {pos}"));
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                pairs.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b't') => parse_literal(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_literal(b, pos, "null", Json::Null),
-        Some(_) => parse_number(b, pos),
-    }
-}
-
-fn parse_literal(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}"))
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    *pos += 1; // opening quote
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("invalid \\u escape {hex:?}"))?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {pos}")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one full UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // Request dispatch.
@@ -490,26 +311,30 @@ pub fn plan_report_json(report: &dod_partition::PlanReport) -> String {
 
 /// Extracts a `"points": [[…], …]` field as coordinate rows.
 fn parse_points(request: &Json, op: &str) -> Result<Vec<Vec<f64>>, ServeError> {
-    let Some(Json::Arr(rows)) = request.get("points") else {
+    let Some(rows) = request.get("points").and_then(Json::as_arr) else {
         return Err(ServeError::bad(format!(
             "\"{op}\" needs a \"points\" array"
         )));
     };
-    let mut points = Vec::with_capacity(rows.len());
-    for row in rows {
-        let Json::Arr(coords) = row else {
-            return Err(ServeError::bad("each point must be an array of numbers"));
-        };
-        let mut point = Vec::with_capacity(coords.len());
-        for c in coords {
-            let Json::Num(v) = c else {
-                return Err(ServeError::bad("each coordinate must be a number"));
-            };
-            point.push(*v);
-        }
-        points.push(point);
-    }
-    Ok(points)
+    rows.iter()
+        .map(|row| {
+            row.as_arr()
+                .ok_or_else(|| ServeError::bad("each point must be an array of numbers"))?
+                .iter()
+                .map(|c| {
+                    c.as_f64()
+                        .ok_or_else(|| ServeError::bad("each coordinate must be a number"))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Reads a non-negative integral number (`3`, `3.0` and `3e0` alike).
+fn as_count(v: &Json) -> Option<u64> {
+    v.as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
 }
 
 /// Extracts an optional non-negative integer field (absent or `null`
@@ -517,10 +342,9 @@ fn parse_points(request: &Json, op: &str) -> Result<Vec<Vec<f64>>, ServeError> {
 fn parse_count(request: &Json, key: &str) -> Result<Option<u64>, ServeError> {
     match request.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(v)) if *v >= 0.0 && v.fract() == 0.0 => Ok(Some(*v as u64)),
-        Some(_) => Err(ServeError::bad(format!(
-            "\"{key}\" must be a non-negative integer"
-        ))),
+        Some(v) => as_count(v)
+            .map(Some)
+            .ok_or_else(|| ServeError::bad(format!("\"{key}\" must be a non-negative integer"))),
     }
 }
 
@@ -536,9 +360,8 @@ fn run_request(engine: &Engine, req: Request) -> Result<Response, ServeError> {
 /// Answers one parsed request. `Ok(None)` means `quit`.
 fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeError> {
     let engine = &*ctx.engine;
-    let op = match request.get("op") {
-        Some(Json::Str(op)) => op.as_str(),
-        _ => return Err(ServeError::bad("request needs a string \"op\" field")),
+    let Some(op) = request.get("op").and_then(Json::as_str) else {
+        return Err(ServeError::bad("request needs a string \"op\" field"));
     };
     match op {
         "score" => {
@@ -586,16 +409,14 @@ fn dispatch(ctx: &ServeContext, request: &Json) -> Result<Option<String>, ServeE
             )))
         }
         "remove" => {
-            let Some(Json::Arr(raw)) = request.get("ids") else {
+            let Some(raw) = request.get("ids").and_then(Json::as_arr) else {
                 return Err(ServeError::bad("\"remove\" needs an \"ids\" array"));
             };
-            let mut ids = Vec::with_capacity(raw.len());
-            for v in raw {
-                match v {
-                    Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => ids.push(*n as u64),
-                    _ => return Err(ServeError::bad("each id must be a non-negative integer")),
-                }
-            }
+            let ids = raw
+                .iter()
+                .map(as_count)
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| ServeError::bad("each id must be a non-negative integer"))?;
             let receipt = run_request(engine, Request::Remove { ids })?
                 .into_remove()
                 .expect("remove request answers with a receipt");
@@ -687,7 +508,7 @@ pub fn serve_streams(
         if line.trim().is_empty() {
             continue;
         }
-        let response = parse_json(&line)
+        let response = json::parse(&line)
             .map_err(|e| ServeError::bad(format!("bad request: {e}")))
             .and_then(|request| dispatch(ctx, &request));
         match response {
@@ -824,38 +645,9 @@ mod tests {
     use crate::args::{parse_command, Command};
     use dod_core::PointSet;
 
-    #[test]
-    fn json_parser_round_trips_the_request_grammar() {
-        let v = parse_json(r#"{"op": "score", "points": [[0.5, -1e2], [3, 4.25]]}"#).unwrap();
-        assert_eq!(v.get("op"), Some(&Json::Str("score".into())));
-        let Some(Json::Arr(points)) = v.get("points") else {
-            panic!("points array");
-        };
-        assert_eq!(
-            points[0],
-            Json::Arr(vec![Json::Num(0.5), Json::Num(-100.0)])
-        );
-        assert_eq!(points[1], Json::Arr(vec![Json::Num(3.0), Json::Num(4.25)]));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_rejects_garbage() {
-        assert_eq!(
-            parse_json(r#""a\"b\\cA""#).unwrap(),
-            Json::Str("a\"b\\cA".into())
-        );
-        assert_eq!(
-            parse_json("{\"a\": [true, false, null]}").unwrap().get("a"),
-            Some(&Json::Arr(vec![
-                Json::Bool(true),
-                Json::Bool(false),
-                Json::Null
-            ]))
-        );
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(parse_json("").is_err());
+    /// A numeric field of a parsed response.
+    fn num(v: &Json, key: &str) -> Option<f64> {
+        v.get(key).and_then(Json::as_f64)
     }
 
     fn serve_args(input: &str) -> ServeArgs {
@@ -1029,29 +821,47 @@ mod tests {
         assert!(responses[7].contains("\"points\":10"));
     }
 
+    /// Bad lines answer a typed error and leave the resident state as it
+    /// was. `1e400` once parsed to `+inf` and became a phantom point that
+    /// made every later `refresh` fail; 200,000 nested `[` once aborted
+    /// the process on a stack overflow.
     #[test]
     fn bad_requests_answer_errors_and_keep_serving() {
-        let responses = session(concat!(
-            "not json at all\n",
-            "{\"op\": \"launch\"}\n",
-            "{\"op\": \"score\"}\n",
-            "{\"op\": \"score\", \"points\": [[\"a\"]]}\n",
-            "{\"op\": \"insert\"}\n",
-            "{\"op\": \"remove\", \"ids\": [-1]}\n",
-            "{\"op\": \"window\", \"max_points\": 1.5}\n",
-            "{\"op\": \"detect\"}\n",
+        let deep = "[".repeat(200_000);
+        let responses = session(&format!(
+            "not json at all\n\
+             {{\"op\": \"launch\"}}\n\
+             {{\"op\": \"score\"}}\n\
+             {{\"op\": \"score\", \"points\": [[\"a\"]]}}\n\
+             {{\"op\": \"insert\"}}\n\
+             {{\"op\": \"remove\", \"ids\": [-1]}}\n\
+             {{\"op\": \"window\", \"max_points\": 1.5}}\n\
+             {{\"op\": \"insert\", \"points\": [[1e400, 0]]}}\n\
+             {deep}\n\
+             {{\"op\": \"detect\"}}\n\
+             {{\"op\": \"stats\"}}\n\
+             {{\"op\": \"refresh\"}}\n"
         ));
-        assert_eq!(responses.len(), 8);
-        for bad in &responses[..7] {
+        assert_eq!(responses.len(), 12);
+        for bad in &responses[..9] {
             assert!(bad.starts_with("{\"v\":1,\"ok\":false,\"code\":"), "{bad}");
         }
         // The codes are stable and machine-readable.
         assert!(responses[0].contains("\"code\":\"bad_request\""));
         assert!(responses[1].contains("\"code\":\"unknown_op\""));
-        for bad in &responses[2..7] {
+        for bad in &responses[2..9] {
             assert!(bad.contains("\"code\":\"bad_request\""), "{bad}");
         }
-        assert!(responses[7].contains("\"outliers\":[40]"));
+        assert!(responses[9].contains("\"outliers\":[40]"));
+        assert!(
+            responses[10].contains("\"points\":41,"),
+            "{}",
+            responses[10]
+        );
+        assert_eq!(
+            responses[11],
+            "{\"v\":1,\"ok\":true,\"op\":\"refresh\",\"epoch\":1}"
+        );
     }
 
     /// A dimension mismatch surfaces the engine's typed error code.
@@ -1080,7 +890,7 @@ mod tests {
             "{{\"v\":1,\"ok\":true,\"op\":\"drift\",\"drift\":{},\"epoch\":0}}",
             json::number(f64::NAN)
         );
-        assert_eq!(parse_json(&line).unwrap().get("drift"), Some(&Json::Null));
+        assert_eq!(json::parse(&line).unwrap().get("drift"), Some(&Json::Null));
     }
 
     #[test]
@@ -1090,8 +900,8 @@ mod tests {
             "{\"op\": \"metrics\"}\n",
         ));
         assert_eq!(responses.len(), 2);
-        let v = parse_json(&responses[1]).unwrap();
-        assert_eq!(v.get("v"), Some(&Json::Num(1.0)));
+        let v = json::parse(&responses[1]).unwrap();
+        assert_eq!(num(&v, "v"), Some(1.0));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
         let Some(Json::Str(text)) = v.get("metrics") else {
             panic!("metrics is a string: {}", responses[1]);
@@ -1115,21 +925,21 @@ mod tests {
     fn explain_op_reports_the_resident_plan() {
         let responses = session(concat!("{\"op\": \"explain\"}\n", "{\"op\": \"detect\"}\n",));
         assert_eq!(responses.len(), 2);
-        let v = parse_json(&responses[0]).unwrap();
-        assert_eq!(v.get("v"), Some(&Json::Num(1.0)));
+        let v = json::parse(&responses[0]).unwrap();
+        assert_eq!(num(&v, "v"), Some(1.0));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("op"), Some(&Json::Str("explain".into())));
-        assert_eq!(v.get("epoch"), Some(&Json::Num(0.0)));
+        assert_eq!(v.get("op").and_then(Json::as_str), Some("explain"));
+        assert_eq!(num(&v, "epoch"), Some(0.0));
         assert_eq!(v.get("calibrated"), Some(&Json::Bool(false)));
         let weights = v.get("weights").unwrap();
-        assert_eq!(weights.get("pair"), Some(&Json::Num(1.0)));
-        assert_eq!(weights.get("structural"), Some(&Json::Num(1.0)));
+        assert_eq!(num(weights, "pair"), Some(1.0));
+        assert_eq!(num(weights, "structural"), Some(1.0));
         let Some(Json::Arr(partitions)) = v.get("partitions") else {
             panic!("partitions array: {}", responses[0]);
         };
         assert!(!partitions.is_empty());
         for p in partitions {
-            let Some(Json::Str(winner)) = p.get("winner") else {
+            let Some(winner) = p.get("winner").and_then(Json::as_str) else {
                 panic!("winner: {p:?}");
             };
             let Some(Json::Arr(candidates)) = p.get("candidates") else {
@@ -1138,17 +948,17 @@ mod tests {
             assert!(!candidates.is_empty());
             // The winner is one of the candidates, at its reported cost.
             let found = candidates.iter().any(|c| {
-                c.get("algorithm") == Some(&Json::Str(winner.clone()))
+                c.get("algorithm").and_then(Json::as_str) == Some(winner)
                     && c.get("cost") == p.get("winner_cost")
             });
             assert!(found, "winner in candidates: {p:?}");
-            assert!(matches!(p.get("winner_cost"), Some(Json::Num(c)) if c.is_finite()));
-            assert!(matches!(p.get("margin"), Some(Json::Num(m)) if m.is_finite()));
-            assert!(matches!(p.get("n_est"), Some(Json::Num(_))));
+            assert!(num(p, "winner_cost").is_some_and(f64::is_finite));
+            assert!(num(p, "margin").is_some_and(f64::is_finite));
+            assert!(num(p, "n_est").is_some());
             for c in candidates {
-                assert!(matches!(c.get("cost"), Some(Json::Num(c)) if *c > 0.0));
-                assert!(matches!(c.get("pair_ops"), Some(Json::Num(_))));
-                assert!(matches!(c.get("structural_ops"), Some(Json::Num(_))));
+                assert!(num(c, "cost").is_some_and(|c| c > 0.0));
+                assert!(num(c, "pair_ops").is_some());
+                assert!(num(c, "structural_ops").is_some());
             }
         }
     }
@@ -1158,7 +968,7 @@ mod tests {
     #[test]
     fn metrics_include_cost_audit_gauges() {
         let responses = session(concat!("{\"op\": \"detect\"}\n", "{\"op\": \"metrics\"}\n",));
-        let v = parse_json(&responses[1]).unwrap();
+        let v = json::parse(&responses[1]).unwrap();
         let Some(Json::Str(text)) = v.get("metrics") else {
             panic!("metrics is a string: {}", responses[1]);
         };
@@ -1208,14 +1018,90 @@ mod tests {
         let health = get("/healthz");
         assert!(health.starts_with("HTTP/1.0 200 OK"), "{health}");
         let body = health.split("\r\n\r\n").nth(1).unwrap();
-        let v = parse_json(body).unwrap();
-        assert_eq!(v.get("v"), Some(&Json::Num(1.0)));
+        let v = json::parse(body).unwrap();
+        assert_eq!(num(&v, "v"), Some(1.0));
         assert_eq!(v.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(v.get("workers"), Some(&Json::Num(1.0)));
-        assert!(matches!(v.get("requests"), Some(Json::Num(n)) if *n >= 1.0));
-        assert_eq!(v.get("points"), Some(&Json::Num(41.0)));
+        assert_eq!(num(&v, "workers"), Some(1.0));
+        assert!(num(&v, "requests").is_some_and(|n| n >= 1.0));
+        assert_eq!(num(&v, "points"), Some(41.0));
 
         let missing = get("/nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
+    }
+
+    mod hostile_input {
+        use super::*;
+        use dod_detect::CalibrationProfile;
+        use dod_obs::json::MAX_DEPTH;
+        use mapreduce::checkpoint::{job_summary, CheckpointStore, JobFingerprint, ResumeState};
+        use mapreduce::DeadLetterQueue;
+        use proptest::prelude::*;
+        use std::error::Error;
+
+        // Arbitrary bytes, and `[`/`{` nesting at, around and far past
+        // `MAX_DEPTH`, through every JSON boundary: each returns a value
+        // or a typed error, and never panics or aborts on a stack
+        // overflow.
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+            #[test]
+            fn every_json_boundary_survives_hostile_input(
+                shape in 0usize..3,
+                depth_pick in 0usize..4,
+                valid_core in 0u8..2,
+                bytes in proptest::collection::vec(0u8..=255, 0..48),
+            ) {
+                let depth = [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 200_000][depth_pick];
+                let core = match valid_core {
+                    0 => String::from_utf8_lossy(&bytes).into_owned(),
+                    _ => "0".to_string(),
+                };
+                let (head, tail) = [("", ""), ("[", "]"), ("{\"a\":", "}")][shape];
+                let doc = format!("{}{core}{}", head.repeat(depth), tail.repeat(depth));
+                let too_deep = shape > 0 && depth > MAX_DEPTH;
+
+                // `dod serve`: raw bytes may end the loop with an error
+                // (stdin must be UTF-8); a text line is answered and the
+                // loop keeps serving.
+                let (args, ctx, csv) = test_context();
+                std::fs::remove_file(&csv).ok();
+                let _ = serve_streams(&args, &ctx, &bytes[..], &mut Vec::new());
+                let mut out = Vec::new();
+                let input = format!("{doc}\n{{\"op\":\"stats\"}}\n");
+                serve_streams(&args, &ctx, input.as_bytes(), &mut out).unwrap();
+                let out = String::from_utf8(out).unwrap();
+                let last = out.lines().last().unwrap();
+                prop_assert!(last.starts_with("{\"v\":1,\"ok\":true,\"op\":\"stats\""));
+                prop_assert!(!too_deep || out.starts_with("{\"v\":1,\"ok\":false,\"code\":\"bad_"));
+
+                // Calibration profiles and trace lines.
+                let calibration = CalibrationProfile::from_json(&doc);
+                let replay = dod_obs::replay::parse_line(&doc).unwrap_err();
+                if too_deep {
+                    prop_assert!(calibration.unwrap_err().source().is_some());
+                    let reason = replay.cause.map(|e| e.reason);
+                    prop_assert_eq!(reason, Some("nesting deeper than MAX_DEPTH"));
+                }
+
+                // Checkpoint manifest, task record and dead-letter queue.
+                let root = std::env::temp_dir().join(format!(
+                    "dod-hostile-json-{}-{:?}",
+                    std::process::id(),
+                    std::thread::current().id()
+                ));
+                let job = root.join("job");
+                std::fs::create_dir_all(&job).unwrap();
+                std::fs::write(job.join("manifest.json"), &doc).unwrap();
+                prop_assert!(job_summary(&root, "job").is_err());
+                let fp = JobFingerprint { map_tasks: 1, reducers: 1, tag: "t".into() };
+                let store = CheckpointStore::open(&root, "job", &fp).unwrap();
+                prop_assert!(matches!(store.resume_state(), ResumeState::Reset(_)));
+                std::fs::write(job.join("map-0.json"), &doc).unwrap();
+                prop_assert!(store.load_task::<Vec<u64>>("map", 0, 0).is_none());
+                let dlq = DeadLetterQueue::parse(&doc, &job.join("dlq.jsonl"));
+                prop_assert_eq!(dlq.is_ok(), doc.lines().all(|l| l.trim().is_empty()));
+                std::fs::remove_dir_all(&root).ok();
+            }
+        }
     }
 }

@@ -9,13 +9,12 @@
 use crate::error::CoreError;
 use crate::point::Point;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a point within its dataset: the insertion index.
 pub type PointId = u64;
 
 /// A set of d-dimensional points stored in one contiguous buffer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PointSet {
     dim: usize,
     coords: Vec<f64>,

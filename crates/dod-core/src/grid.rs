@@ -8,14 +8,13 @@
 
 use crate::error::CoreError;
 use crate::rect::Rect;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a grid cell: the row-major linearization of its
 /// per-dimension indices.
 pub type CellId = usize;
 
 /// An equi-width grid over a rectangular domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
     domain: Rect,
     /// Number of cells along each dimension.

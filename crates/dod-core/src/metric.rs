@@ -7,10 +7,8 @@
 //! pruning rules, ball volumes for the cost models — is metric-dependent,
 //! so each metric carries those operations with it.
 
-use serde::{Deserialize, Serialize};
-
 /// The supported distance metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Metric {
     /// `L2` — the paper's metric.
     #[default]

@@ -2,7 +2,6 @@
 
 use crate::error::CoreError;
 use crate::metric::Metric;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the distance-threshold outlier definition.
 ///
@@ -10,14 +9,13 @@ use serde::{Deserialize, Serialize};
 /// distance `r` (Definition 2.2) under `metric`. Following the seminal
 /// definition (Knorr & Ng) and the paper's framework, the point itself is
 /// **not** counted as its own neighbor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlierParams {
     /// Distance threshold `r` (strictly positive).
     pub r: f64,
     /// Neighbor-count threshold `k` (at least 1).
     pub k: usize,
     /// Distance metric (Euclidean unless configured otherwise).
-    #[serde(default)]
     pub metric: Metric,
 }
 
@@ -113,18 +111,5 @@ mod tests {
     #[test]
     fn rejects_zero_k() {
         assert!(OutlierParams::new(1.0, 0).is_err());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = OutlierParams::new(2.5, 7).unwrap();
-        let json = serde_json_like(&p);
-        assert!(json.contains("2.5"));
-    }
-
-    // Minimal smoke check that the Serialize derive compiles and emits the
-    // fields; full serialization is exercised by the mapreduce crate.
-    fn serde_json_like(p: &OutlierParams) -> String {
-        format!("{{\"r\":{},\"k\":{}}}", p.r, p.k)
     }
 }

@@ -5,14 +5,12 @@
 //! on `&[f64]` coordinate slices (borrowed from a columnar
 //! [`crate::PointSet`]) so no per-point allocation happens during detection.
 
-use serde::{Deserialize, Serialize};
-
 /// An owned d-dimensional point.
 ///
 /// `Point` is the convenient owned representation used at API boundaries
 /// (generators, examples, results). Inner detection loops instead borrow
 /// coordinate slices from a [`crate::PointSet`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     coords: Vec<f64>,
 }

@@ -9,10 +9,9 @@
 //! [`Rect::contains_with_upper`]).
 
 use crate::error::CoreError;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned hyper-rectangle `⟨(low_1, high_1), ..., (low_d, high_d)⟩`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rect {
     min: Vec<f64>,
     max: Vec<f64>,

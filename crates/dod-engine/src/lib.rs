@@ -221,6 +221,20 @@ mod tests {
         assert_eq!(scores[0].neighbors, params.k); // counting stopped at k
         assert!(scores[1].outlier);
         assert_eq!(scores[1].neighbors, 0);
+        // An explicit, generous deadline answers the same.
+        let within = engine
+            .submit_with(
+                Request::Score {
+                    points: vec![vec![0.7, 0.7], vec![200.0, 0.0]],
+                },
+                RequestOptions::new().deadline(std::time::Duration::from_secs(60)),
+            )
+            .unwrap()
+            .wait()
+            .unwrap()
+            .into_score()
+            .unwrap();
+        assert_eq!(within, scores);
     }
 
     #[test]
@@ -509,40 +523,6 @@ mod tests {
             .wait()
             .unwrap_err();
         assert!(matches!(err, EngineError::Dimension { .. }));
-    }
-
-    /// The deprecated pre-`submit` surface still works; it shims onto
-    /// the same internals.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_serve() {
-        let (data, params) = cluster_with_outlier();
-        let engine = Engine::builder(runner(params)).build(&data).unwrap();
-        assert_eq!(engine.detect_all().unwrap().wait().unwrap(), vec![40]);
-        let scores = engine
-            .score_batch(vec![vec![0.7, 0.7]])
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!scores[0].outlier);
-        let err = engine
-            .detect_all_within(std::time::Duration::ZERO)
-            .unwrap()
-            .wait()
-            .unwrap_err();
-        assert!(matches!(err, EngineError::DeadlineExceeded));
-        let scores = engine
-            .score_batch_within(vec![vec![0.7, 0.7]], std::time::Duration::from_secs(60))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!scores[0].outlier);
-        let degraded = engine
-            .score_batch_degraded(vec![vec![0.7, 0.7]], std::time::Duration::from_secs(60))
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert!(!degraded[0].degraded);
     }
 
     /// A `Write` sink whose contents the test can inspect after the

@@ -29,9 +29,10 @@
 //! * [`FlightRecorder`]: a bounded, non-blocking ring of the most
 //!   recent events, dumped as replayable JSONL when a request fails.
 //!
-//! The workspace builds offline, so all JSON is hand-rolled; the shared
-//! writing primitives (escaping, non-finite-as-`null`) live in [`json`]
-//! and are used by the trace writer here and by `dod serve`.
+//! The workspace builds offline, so all JSON is hand-rolled in [`json`]:
+//! the one bounded reader behind every JSON boundary, and the writing
+//! primitives (escaping, non-finite-as-`null`) shared by the trace
+//! writer here and by `dod serve`.
 //!
 //! The event taxonomy used by the workspace is documented in
 //! `DESIGN.md` (§Observability); [`render::render_summary`] folds any

@@ -1,16 +1,18 @@
 //! Replays a JSONL trace back into [`Event`]s.
 //!
-//! The parser accepts the exact format written by
+//! Each line is parsed with the shared [`crate::json`] reader, then
+//! [`parse_line`] reads the fields of the format written by
 //! [`crate::JsonlRecorder`] (flat objects, one nesting level for
-//! `labels`) — it is not a general JSON parser, but it tolerates
-//! arbitrary key order and insignificant whitespace so hand-edited or
-//! externally produced traces also load.
+//! `labels`). Key order and insignificant whitespace do not matter, so
+//! hand-edited or externally produced traces also load; unknown keys
+//! and malformed lines are a typed [`ReplayError`].
 
 use std::borrow::Cow;
 use std::fs;
 use std::path::Path;
 
 use crate::event::{Event, EventKind, Value};
+use crate::json::{self, Json, JsonError};
 
 /// A parse failure, with the offending line (1-based) when known.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,6 +21,9 @@ pub struct ReplayError {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
+    /// The JSON syntax error behind `message`, when the line was not
+    /// JSON at all.
+    pub cause: Option<JsonError>,
 }
 
 impl std::fmt::Display for ReplayError {
@@ -31,7 +36,11 @@ impl std::fmt::Display for ReplayError {
     }
 }
 
-impl std::error::Error for ReplayError {}
+impl std::error::Error for ReplayError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.cause.as_ref().map(|e| e as _)
+    }
+}
 
 /// Parses a whole JSONL document (blank lines ignored).
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ReplayError> {
@@ -41,10 +50,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, ReplayError> {
         if line.is_empty() {
             continue;
         }
-        let event = parse_line(line).map_err(|message| ReplayError {
-            line: idx + 1,
-            message,
-        })?;
+        let event = parse_line(line).map_err(|e| ReplayError { line: idx + 1, ..e })?;
         events.push(event);
     }
     Ok(events)
@@ -55,78 +61,63 @@ pub fn read_jsonl(path: impl AsRef<Path>) -> Result<Vec<Event>, ReplayError> {
     let text = fs::read_to_string(path.as_ref()).map_err(|e| ReplayError {
         line: 0,
         message: format!("cannot read {}: {e}", path.as_ref().display()),
+        cause: None,
     })?;
     parse_jsonl(&text)
 }
 
 /// Parses one JSONL line into an event.
-pub fn parse_line(line: &str) -> Result<Event, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+pub fn parse_line(line: &str) -> Result<Event, ReplayError> {
+    let doc = json::parse(line).map_err(|e| ReplayError {
+        line: 0,
+        message: e.to_string(),
+        cause: Some(e),
+    })?;
+    event_from_json(&doc).map_err(|message| ReplayError {
+        line: 0,
+        message,
+        cause: None,
+    })
+}
+
+/// Reads the fields of one parsed trace object.
+fn event_from_json(doc: &Json) -> Result<Event, String> {
+    let Json::Obj(fields) = doc else {
+        return Err("expected an object".to_string());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
     let mut name: Option<String> = None;
-    let mut kind_tag: Option<String> = None;
+    let mut kind_tag: Option<&str> = None;
     let mut nanos: Option<u64> = None;
     let mut delta: Option<u64> = None;
     let mut value: Option<f64> = None;
     let mut labels: Vec<(Cow<'static, str>, Value)> = Vec::new();
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
+    let count = |v: &Json| v.as_u64().ok_or("expected a non-negative integer");
+    for (key, v) in fields {
         match key.as_str() {
-            "name" => name = Some(p.parse_string()?),
-            "kind" => kind_tag = Some(p.parse_string()?),
-            "nanos" => nanos = Some(p.parse_number()?.as_u64()?),
-            "delta" => delta = Some(p.parse_number()?.as_u64()?),
+            "name" => name = Some(v.as_str().ok_or("\"name\" must be a string")?.to_string()),
+            "kind" => kind_tag = Some(v.as_str().ok_or("\"kind\" must be a string")?),
+            "nanos" => nanos = Some(count(v)?),
+            "delta" => delta = Some(count(v)?),
             // `null` is what the writer emits for non-finite samples.
             "value" => {
-                value = Some(if p.eat_null() {
-                    f64::NAN
-                } else {
-                    p.parse_number()?.as_f64()
+                value = Some(match v {
+                    Json::Null => f64::NAN,
+                    _ => v.as_f64().ok_or("\"value\" must be a number")?,
                 })
             }
             "labels" => {
-                p.expect(b'{')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b'}') {
-                        break;
-                    }
-                    let label_key = p.parse_string()?;
-                    p.skip_ws();
-                    p.expect(b':')?;
-                    p.skip_ws();
-                    let label_value = p.parse_value()?;
-                    labels.push((Cow::Owned(label_key), label_value));
-                    p.skip_ws();
-                    if !p.eat(b',') {
-                        p.skip_ws();
-                        p.expect(b'}')?;
-                        break;
-                    }
+                let Json::Obj(pairs) = v else {
+                    return Err("\"labels\" must be an object".to_string());
+                };
+                for (label_key, label_value) in pairs {
+                    labels.push((Cow::Owned(label_key.clone()), label(label_value)?));
                 }
             }
             other => return Err(format!("unknown key {other:?}")),
         }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.skip_ws();
-            p.expect(b'}')?;
-            break;
-        }
     }
     let name = name.ok_or("missing \"name\"")?;
-    let kind = match kind_tag.as_deref() {
+    let kind = match kind_tag {
         Some("span") => EventKind::Span {
             nanos: nanos.ok_or("span missing \"nanos\"")?,
         },
@@ -147,175 +138,20 @@ pub fn parse_line(line: &str) -> Result<Event, String> {
     })
 }
 
-/// A parsed JSON number, kept in whichever representation was written.
-enum Number {
-    Unsigned(u64),
-    Signed(i64),
-    Float(f64),
-}
-
-impl Number {
-    fn as_u64(&self) -> Result<u64, String> {
-        match *self {
-            Number::Unsigned(v) => Ok(v),
-            Number::Signed(v) if v >= 0 => Ok(v as u64),
-            _ => Err("expected a non-negative integer".to_string()),
-        }
-    }
-
-    fn as_f64(&self) -> f64 {
-        match *self {
-            Number::Unsigned(v) => v as f64,
-            Number::Signed(v) => v as f64,
-            Number::Float(v) => v,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_null(&mut self) -> bool {
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} (found {:?})",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char),
-            ))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
-                return Err("unterminated string".to_string());
-            };
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    let esc = *rest.get(1).ok_or("dangling escape")?;
-                    self.pos += 2;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 code point.
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Number, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid number")?;
-        if text.is_empty() {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if stripped.parse::<i64>().is_ok() {
-                    return Ok(Number::Signed(text.parse().map_err(|_| "bad integer")?));
-                }
-            } else if let Ok(v) = text.parse::<u64>() {
-                return Ok(Number::Unsigned(v));
-            }
-        }
-        text.parse::<f64>()
-            .map(Number::Float)
-            .map_err(|_| format!("bad number {text:?}"))
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Value::Str(Cow::Owned(self.parse_string()?))),
-            Some(b'n') => {
-                // `null` only appears for non-finite floats we refused to write.
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Value::F64(f64::NAN))
-                } else {
-                    Err("unexpected token".to_string())
-                }
-            }
-            _ => Ok(match self.parse_number()? {
-                Number::Unsigned(v) => Value::U64(v),
-                Number::Signed(v) => Value::I64(v),
-                Number::Float(v) => Value::F64(v),
-            }),
-        }
-    }
+/// A label value in whichever representation was written: integers
+/// that fit stay `U64`/`I64`, anything else numeric is `F64`.
+fn label(v: &Json) -> Result<Value, String> {
+    Ok(match v {
+        Json::Str(s) => Value::Str(Cow::Owned(s.clone())),
+        // `null` only appears for non-finite floats we refused to write.
+        Json::Null => Value::F64(f64::NAN),
+        Json::Num(_) => match (v.as_u64(), v.as_i64()) {
+            (Some(u), _) => Value::U64(u),
+            (None, Some(i)) => Value::I64(i),
+            (None, None) => Value::F64(v.as_f64().ok_or("bad number")?),
+        },
+        _ => return Err("label values must be strings or numbers".to_string()),
+    })
 }
 
 #[cfg(test)]
@@ -368,6 +204,8 @@ mod tests {
         let err = parse_jsonl("{\"name\":\"ok\",\"kind\":\"mark\",\"labels\":{}}\nnot json\n")
             .unwrap_err();
         assert_eq!(err.line, 2);
+        // A line that is not JSON keeps the reader's error as its cause.
+        assert!(std::error::Error::source(&err).is_some(), "{err}");
     }
 
     #[test]

@@ -26,11 +26,12 @@
 //! [`CheckpointStore::resume_state`]. No parse failure panics, and no
 //! partial resume happens silently.
 //!
-//! Values are encoded as hand-rolled JSON consistent with
-//! `dod-obs`'s writer (no serde; the workspace builds offline).
-//! Floats round-trip bit-exactly: Rust's shortest `Display` repr is
-//! re-parsed to the identical bits, which is what makes resumed runs
-//! byte-identical to uninterrupted ones.
+//! Values are encoded as JSON with `dod-obs`'s writer primitives and
+//! read back with its shared, depth-bounded [`dod_obs::json`] reader,
+//! which keeps each number's source text. Floats therefore round-trip
+//! bit-exactly (Rust's shortest `Display` repr re-parses to the
+//! identical bits), which is what makes resumed runs byte-identical to
+//! uninterrupted ones.
 
 use std::fmt;
 use std::fs;
@@ -38,6 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
 
+use dod_obs::json::{self, Json, JsonError};
 use dod_obs::write_atomic;
 
 use crate::dlq::{DeadLetterQueue, DlqEntry};
@@ -45,272 +47,9 @@ use crate::dlq::{DeadLetterQueue, DlqEntry};
 /// Current on-disk format version for manifests and task records.
 const FORMAT_VERSION: u64 = 1;
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value. Numbers keep their raw text so integer and
-/// float decoding is exact (`u64` beyond 2^53 survives, floats re-parse
-/// to identical bits).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number, as the raw source text.
-    Num(String),
-    /// A string, unescaped.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact `u64`, if it is a non-negative integer.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(raw) => raw.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a complete JSON document (no trailing garbage allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes at offset {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
-            Some(b'n') if self.eat_literal("null") => Ok(Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(format!("unexpected input at offset {}", self.pos)),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.eat(b'}') {
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b'}')?;
-            return Ok(Json::Obj(fields));
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.eat(b']') {
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            if self.eat(b',') {
-                continue;
-            }
-            self.expect(b']')?;
-            return Ok(Json::Arr(items));
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let end = self.pos + 4;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..end)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos = end;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| "invalid \\u code point".to_string())?,
-                            );
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                // Multi-byte UTF-8: copy the whole scalar through.
-                _ => {
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| "invalid UTF-8".to_string())?;
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|sl| std::str::from_utf8(sl).ok())
-                        .ok_or_else(|| "invalid UTF-8".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        // An optional leading minus; eat() already advances on match.
-        let _ = self.eat(b'-');
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid number".to_string())?;
-        // Validate by parsing as f64 (covers every JSON number form).
-        raw.parse::<f64>()
-            .map_err(|_| format!("invalid number {raw:?}"))?;
-        Ok(Json::Num(raw.to_string()))
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
+/// A JSON number as a `usize`, if it is a non-negative integer in range.
+pub(crate) fn as_usize(v: &Json) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
 }
 
 /// Writes a JSON string literal (with quotes and escaping) using the
@@ -360,7 +99,7 @@ impl Durable for usize {
         out.push_str(&(*self as u64).to_string());
     }
     fn decode(v: &Json) -> Option<Self> {
-        v.as_usize()
+        as_usize(v)
     }
 }
 
@@ -400,7 +139,7 @@ impl Durable for f64 {
     }
     fn decode(v: &Json) -> Option<Self> {
         match v {
-            Json::Num(raw) => raw.parse().ok(),
+            Json::Num(_) => v.as_f64(),
             Json::Str(s) => match s.as_str() {
                 "NaN" => Some(f64::NAN),
                 "inf" => Some(f64::INFINITY),
@@ -507,6 +246,8 @@ pub enum CheckpointError {
         path: String,
         /// What failed to parse.
         detail: String,
+        /// The JSON syntax error, when the file was not JSON at all.
+        source: Option<JsonError>,
     },
     /// A manifest that parsed but describes a different job shape.
     Mismatch {
@@ -523,7 +264,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io { path, detail } => {
                 write!(f, "checkpoint io error at {path}: {detail}")
             }
-            CheckpointError::Corrupt { path, detail } => {
+            CheckpointError::Corrupt { path, detail, .. } => {
                 write!(f, "corrupt checkpoint file {path}: {detail}")
             }
             CheckpointError::Mismatch { field, detail } => {
@@ -533,7 +274,36 @@ impl fmt::Display for CheckpointError {
     }
 }
 
-impl std::error::Error for CheckpointError {}
+impl std::error::Error for CheckpointError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            CheckpointError::Corrupt {
+                source: Some(e), ..
+            } => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl CheckpointError {
+    /// A [`CheckpointError::Corrupt`] without a JSON cause.
+    pub(crate) fn corrupt(path: impl fmt::Display, detail: impl Into<String>) -> Self {
+        CheckpointError::Corrupt {
+            path: path.to_string(),
+            detail: detail.into(),
+            source: None,
+        }
+    }
+
+    /// A [`CheckpointError::Corrupt`] for a file that is not JSON.
+    pub(crate) fn malformed(path: impl fmt::Display, source: JsonError) -> Self {
+        CheckpointError::Corrupt {
+            path: path.to_string(),
+            detail: source.to_string(),
+            source: Some(source),
+        }
+    }
+}
 
 /// What [`CheckpointStore::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -623,12 +393,9 @@ impl CheckpointStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => ResumeState::Fresh,
             // Non-UTF-8 bytes are corruption (a torn or scribbled-over
             // file), not an environment failure: reset, don't error.
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                ResumeState::Reset(CheckpointError::Corrupt {
-                    path: manifest_path.display().to_string(),
-                    detail: e.to_string(),
-                })
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => ResumeState::Reset(
+                CheckpointError::corrupt(manifest_path.display(), e.to_string()),
+            ),
             Err(e) => {
                 return Err(CheckpointError::Io {
                     path: manifest_path.display().to_string(),
@@ -643,21 +410,16 @@ impl CheckpointStore {
         if resume == ResumeState::Resumable {
             let dlq_path = dir.join("dlq.jsonl");
             match fs::read_to_string(&dlq_path) {
-                Ok(text) => match DeadLetterQueue::parse(&text) {
+                Ok(text) => match DeadLetterQueue::parse(&text, &dlq_path) {
                     Ok(q) => dlq = q,
-                    Err(detail) => {
-                        resume = ResumeState::Reset(CheckpointError::Corrupt {
-                            path: dlq_path.display().to_string(),
-                            detail,
-                        })
-                    }
+                    Err(e) => resume = ResumeState::Reset(e),
                 },
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
                 Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                    resume = ResumeState::Reset(CheckpointError::Corrupt {
-                        path: dlq_path.display().to_string(),
-                        detail: e.to_string(),
-                    })
+                    resume = ResumeState::Reset(CheckpointError::corrupt(
+                        dlq_path.display(),
+                        e.to_string(),
+                    ))
                 }
                 Err(e) => {
                     return Err(CheckpointError::Io {
@@ -813,11 +575,8 @@ fn render_manifest(job_id: &str, fp: &JobFingerprint) -> String {
 }
 
 fn check_manifest(text: &str, job_id: &str, fp: &JobFingerprint) -> Result<(), CheckpointError> {
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: "manifest.json".to_string(),
-        detail,
-    };
-    let doc = parse_json(text).map_err(corrupt)?;
+    let corrupt = |detail: String| CheckpointError::corrupt("manifest.json", detail);
+    let doc = json::parse(text).map_err(|e| CheckpointError::malformed("manifest.json", e))?;
     let field = |name: &'static str| {
         doc.get(name)
             .ok_or_else(|| corrupt(format!("missing field {name:?}")))
@@ -871,10 +630,10 @@ fn decode_task_record<T: Durable>(
     task: usize,
     shuffle_fp: u64,
 ) -> Option<(Duration, T)> {
-    let doc = parse_json(text).ok()?;
+    let doc = json::parse(text).ok()?;
     if doc.get("v")?.as_u64()? != FORMAT_VERSION
         || doc.get("stage")?.as_str()? != stage
-        || doc.get("task")?.as_usize()? != task
+        || as_usize(doc.get("task")?)? != task
         || doc.get("fp")?.as_u64()? != shuffle_fp
     {
         return None;
@@ -936,33 +695,25 @@ pub fn job_summary(root: &Path, job_id: &str) -> Result<JobSummary, CheckpointEr
         path: manifest_path.display().to_string(),
         detail: e.to_string(),
     })?;
-    let corrupt = |detail: String| CheckpointError::Corrupt {
-        path: manifest_path.display().to_string(),
-        detail,
-    };
-    let doc = parse_json(&text).map_err(corrupt)?;
+    let corrupt = |detail: &str| CheckpointError::corrupt(manifest_path.display(), detail);
+    let doc =
+        json::parse(&text).map_err(|e| CheckpointError::malformed(manifest_path.display(), e))?;
     let map_tasks = doc
         .get("map_tasks")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| corrupt("missing map_tasks".to_string()))?;
+        .and_then(as_usize)
+        .ok_or_else(|| corrupt("missing map_tasks"))?;
     let reducers = doc
         .get("reducers")
-        .and_then(Json::as_usize)
-        .ok_or_else(|| corrupt("missing reducers".to_string()))?;
+        .and_then(as_usize)
+        .ok_or_else(|| corrupt("missing reducers"))?;
     let tag = doc
         .get("tag")
         .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("missing tag".to_string()))?
+        .ok_or_else(|| corrupt("missing tag"))?
         .to_string();
     let dlq_path = dir.join("dlq.jsonl");
     let dlq = match fs::read_to_string(&dlq_path) {
-        Ok(text) => DeadLetterQueue::parse(&text)
-            .map_err(|detail| CheckpointError::Corrupt {
-                path: dlq_path.display().to_string(),
-                detail,
-            })?
-            .entries()
-            .to_vec(),
+        Ok(text) => DeadLetterQueue::parse(&text, &dlq_path)?.entries().to_vec(),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => {
             return Err(CheckpointError::Io {
@@ -1038,10 +789,7 @@ pub fn mark_redrive(root: &Path, job_id: &str) -> Result<usize, CheckpointError>
             })
         }
     };
-    let mut q = DeadLetterQueue::parse(&text).map_err(|detail| CheckpointError::Corrupt {
-        path: dlq_path.display().to_string(),
-        detail,
-    })?;
+    let mut q = DeadLetterQueue::parse(&text, &dlq_path)?;
     let marked = q.mark_redrive_all();
     if marked > 0 {
         write_atomic(&dlq_path, q.render().as_bytes()).map_err(|e| CheckpointError::Io {
@@ -1126,12 +874,12 @@ mod tests {
         ] {
             let mut s = String::new();
             v.encode(&mut s);
-            let back = f64::decode(&parse_json(&s).unwrap()).unwrap();
+            let back = f64::decode(&json::parse(&s).unwrap()).unwrap();
             assert_eq!(v.to_bits(), back.to_bits(), "value {v}");
         }
         let mut s = String::new();
         f64::NAN.encode(&mut s);
-        assert!(f64::decode(&parse_json(&s).unwrap()).unwrap().is_nan());
+        assert!(f64::decode(&json::parse(&s).unwrap()).unwrap().is_nan());
     }
 
     /// A nested composite exercising every `Durable` impl at once.
@@ -1148,7 +896,7 @@ mod tests {
         ];
         let mut s = String::new();
         value.encode(&mut s);
-        let back = Composite::decode(&parse_json(&s).unwrap());
+        let back = Composite::decode(&json::parse(&s).unwrap());
         assert_eq!(back.as_deref(), Some(&value[..]));
     }
 

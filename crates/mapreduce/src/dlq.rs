@@ -15,7 +15,11 @@
 //! rewrite the whole file atomically instead of appending — a crash
 //! can never leave a torn final line.
 
-use crate::checkpoint::{parse_json, push_json_str, Json};
+use std::path::Path;
+
+use dod_obs::json::{self, Json};
+
+use crate::checkpoint::{as_usize, push_json_str, CheckpointError};
 
 /// One dead task.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,20 +64,16 @@ impl DlqEntry {
         ));
     }
 
-    fn decode(line: &str) -> Result<DlqEntry, String> {
-        let doc = parse_json(line).map_err(|e| format!("bad JSON: {e}"))?;
+    fn decode(doc: &Json) -> Result<DlqEntry, String> {
         let stage = doc
             .get("stage")
             .and_then(Json::as_str)
             .ok_or("missing stage")?
             .to_string();
-        let task = doc
-            .get("task")
-            .and_then(Json::as_usize)
-            .ok_or("missing task")?;
+        let task = doc.get("task").and_then(as_usize).ok_or("missing task")?;
         let attempts = doc
             .get("attempts")
-            .and_then(Json::as_usize)
+            .and_then(as_usize)
             .ok_or("missing attempts")?;
         let errors = doc
             .get("errors")
@@ -109,18 +109,20 @@ pub struct DeadLetterQueue {
 }
 
 impl DeadLetterQueue {
-    /// Parses the JSONL form. Any malformed line is a typed error for
-    /// the whole queue — a half-readable DLQ could silently lose or
-    /// resurrect dead tasks, so callers reset durable state instead.
-    pub fn parse(text: &str) -> Result<DeadLetterQueue, String> {
+    /// Parses the JSONL form read from `path`. Any malformed line is a
+    /// typed error for the whole queue — a half-readable DLQ could
+    /// silently lose or resurrect dead tasks, so callers reset durable
+    /// state instead.
+    pub fn parse(text: &str, path: &Path) -> Result<DeadLetterQueue, CheckpointError> {
         let mut entries = Vec::new();
         for (idx, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() {
                 continue;
             }
-            let entry = DlqEntry::decode(line).map_err(|e| format!("dlq line {}: {e}", idx + 1))?;
-            entries.push(entry);
+            let at = format!("{} line {}", path.display(), idx + 1);
+            let doc = json::parse(line).map_err(|e| CheckpointError::malformed(&at, e))?;
+            entries.push(DlqEntry::decode(&doc).map_err(|e| CheckpointError::corrupt(&at, e))?);
         }
         Ok(DeadLetterQueue { entries })
     }
@@ -207,7 +209,7 @@ mod tests {
             redrive: true,
             ..entry(0)
         });
-        let back = DeadLetterQueue::parse(&q.render()).unwrap();
+        let back = DeadLetterQueue::parse(&q.render(), Path::new("dlq.jsonl")).unwrap();
         assert_eq!(back, q);
     }
 
@@ -237,20 +239,27 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_typed_errors() {
-        for bad in [
-            "{",
-            "{\"stage\":\"map\"}",
-            "{\"stage\":5,\"task\":0,\"attempts\":0,\"errors\":[]}",
-            "not json at all",
+        use std::error::Error;
+        let path = Path::new("dlq.jsonl");
+        for (bad, syntax) in [
+            ("{", true),
+            ("{\"stage\":\"map\"}", false),
+            (
+                "{\"stage\":5,\"task\":0,\"attempts\":0,\"errors\":[]}",
+                false,
+            ),
+            ("not json at all", true),
         ] {
-            assert!(DeadLetterQueue::parse(bad).is_err(), "accepted {bad:?}");
+            let err = DeadLetterQueue::parse(bad, path).expect_err(bad);
+            // Syntax errors keep the reader's typed error as the cause.
+            assert_eq!(err.source().is_some(), syntax, "{bad:?}: {err}");
         }
         // Truncations of a valid file never panic.
         let mut q = DeadLetterQueue::default();
         q.divert(entry(0));
         let text = q.render();
         for cut in 0..text.len() {
-            let _ = DeadLetterQueue::parse(&text[..cut]);
+            let _ = DeadLetterQueue::parse(&text[..cut], path);
         }
     }
 }
