@@ -27,9 +27,10 @@ impl GridSpec {
     /// Creates a grid with `cells_per_dim[i]` cells along dimension `i`.
     ///
     /// # Errors
-    /// Returns an error if the counts don't match the domain dimensionality
-    /// or any count is zero. A zero-extent dimension is allowed only with a
-    /// single cell in that dimension.
+    /// Returns an error if the counts don't match the domain dimensionality,
+    /// any count is zero, or their product overflows a [`CellId`]. A
+    /// zero-extent dimension is allowed only with a single cell in that
+    /// dimension.
     pub fn new(domain: Rect, cells_per_dim: Vec<usize>) -> Result<Self, CoreError> {
         if cells_per_dim.len() != domain.dim() {
             return Err(CoreError::DimensionMismatch {
@@ -50,6 +51,12 @@ impl GridSpec {
                     reason: format!("dimension {i} has zero extent but {n} cells"),
                 });
             }
+        }
+        if cell_count(&cells_per_dim).is_none() {
+            return Err(CoreError::InvalidParameter {
+                name: "cells_per_dim",
+                reason: format!("{cells_per_dim:?} cells overflow a cell id"),
+            });
         }
         let widths = (0..domain.dim())
             .map(|i| domain.extent(i) / cells_per_dim[i] as f64)
@@ -75,10 +82,14 @@ impl GridSpec {
     /// that any two points in adjacent cells are within distance `r` of
     /// each other.
     ///
+    /// Each dimension is capped at `max_cells_per_dim` cells (pass e.g.
+    /// 4096). If the product of the counts would still overflow a
+    /// [`CellId`], the dimension with the most cells is halved until it
+    /// fits. Either way cells only grow wider than the ideal side; the
+    /// Cell-Based detector reads the actual widths, so it stays exact.
+    ///
     /// # Errors
-    /// Returns an error if `r` is not positive or the resulting cell count
-    /// would overflow practical limits (capped at `max_cells_per_dim` per
-    /// dimension; pass e.g. 4096).
+    /// Returns an error if `r` is not positive.
     pub fn for_cell_based(
         domain: &Rect,
         r: f64,
@@ -93,7 +104,7 @@ impl GridSpec {
         }
         let d = domain.dim();
         let side = metric.cell_side_for(r, d);
-        let counts = (0..d)
+        let mut counts: Vec<usize> = (0..d)
             .map(|i| {
                 let extent = domain.extent(i);
                 if extent == 0.0 {
@@ -103,6 +114,12 @@ impl GridSpec {
                 }
             })
             .collect();
+        while cell_count(&counts).is_none() {
+            let most = (0..d)
+                .max_by_key(|&i| counts[i])
+                .expect("an overflow needs d > 0");
+            counts[most] = counts[most].div_ceil(2);
+        }
         GridSpec::new(domain.clone(), counts)
     }
 
@@ -194,49 +211,44 @@ impl GridSpec {
         Rect::new(min, max).expect("cell bounds are valid by construction")
     }
 
+    /// Index range `lo..=hi` of the cells along dimension `i` that the
+    /// closed interval `[min, max]` meets, or `None` when it misses the
+    /// domain.
+    pub fn dim_range(&self, i: usize, min: f64, max: f64) -> Option<(usize, usize)> {
+        let origin = self.domain.min()[i];
+        if max < origin || min > self.domain.max()[i] {
+            return None;
+        }
+        let w = self.widths[i];
+        if w == 0.0 {
+            return Some((0, 0));
+        }
+        let last = self.cells_per_dim[i] - 1;
+        let at = |x: f64| ((((x - origin) / w).floor()).max(0.0) as usize).min(last);
+        Some((at(min), at(max)))
+    }
+
+    /// Per-dimension index ranges `lo[i]..=hi[i]` of the cells whose
+    /// rectangle intersects `query` (closed test), or `None` when the box
+    /// misses the domain.
+    pub fn index_range(&self, query: &Rect) -> Option<(Vec<usize>, Vec<usize>)> {
+        debug_assert_eq!(query.dim(), self.dim());
+        (0..self.dim())
+            .map(|i| self.dim_range(i, query.min()[i], query.max()[i]))
+            .collect::<Option<Vec<_>>>()
+            .map(|ranges| ranges.into_iter().unzip())
+    }
+
     /// Ids of all cells whose rectangle intersects `query` (closed test).
     pub fn cells_intersecting(&self, query: &Rect) -> Vec<CellId> {
-        debug_assert_eq!(query.dim(), self.dim());
-        let d = self.dim();
-        // Per-dimension index range of candidate cells.
-        let mut lo = vec![0usize; d];
-        let mut hi = vec![0usize; d];
-        for i in 0..d {
-            if query.max()[i] < self.domain.min()[i] || query.min()[i] > self.domain.max()[i] {
-                return Vec::new(); // disjoint from the domain
-            }
-            let w = self.widths[i];
-            let n = self.cells_per_dim[i];
-            if w == 0.0 {
-                lo[i] = 0;
-                hi[i] = 0;
-                continue;
-            }
-            let lo_raw = ((query.min()[i] - self.domain.min()[i]) / w).floor();
-            let hi_raw = ((query.max()[i] - self.domain.min()[i]) / w).floor();
-            lo[i] = (lo_raw.max(0.0) as usize).min(n - 1);
-            hi[i] = (hi_raw.max(0.0) as usize).min(n - 1);
-        }
         let mut out = Vec::new();
-        let mut cursor = lo.clone();
-        loop {
-            out.push(self.linearize(&cursor));
-            // advance odometer
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                if cursor[i] < hi[i] {
-                    cursor[i] += 1;
-                    for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                        *c = lo[j];
-                    }
-                    break;
-                }
-            }
+        if let Some((lo, hi)) = self.index_range(query) {
+            self.visit_box(&lo, &hi, |id| {
+                out.push(id);
+                true
+            });
         }
+        out
     }
 
     /// Ids of the cells within `radius_cells` grid steps of cell `id`
@@ -244,37 +256,88 @@ impl GridSpec {
     /// `include_self == false`. Used by the Cell-Based detector's L1/L2
     /// neighborhoods.
     pub fn neighborhood(&self, id: CellId, radius_cells: usize, include_self: bool) -> Vec<CellId> {
-        let idx = self.delinearize(id);
         let d = self.dim();
-        let mut lo = vec![0usize; d];
-        let mut hi = vec![0usize; d];
-        for i in 0..d {
-            lo[i] = idx[i].saturating_sub(radius_cells);
-            hi[i] = (idx[i] + radius_cells).min(self.cells_per_dim[i] - 1);
-        }
+        let mut buf = vec![0; 2 * d];
+        let (lo, hi) = self.block_range(id, &vec![radius_cells; d], &mut buf);
         let mut out = Vec::new();
-        let mut cursor = lo.clone();
-        loop {
-            let cid = self.linearize(&cursor);
+        self.visit_box(lo, hi, |cid| {
             if include_self || cid != id {
                 out.push(cid);
             }
-            let mut i = d;
-            loop {
-                if i == 0 {
-                    return out;
-                }
-                i -= 1;
-                if cursor[i] < hi[i] {
-                    cursor[i] += 1;
-                    for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                        *c = lo[j];
-                    }
-                    break;
-                }
-            }
+            true
+        });
+        out
+    }
+
+    /// Per-dimension index range of the cells within `radii[i]` grid
+    /// steps of cell `id` (clamped to the grid), written into `buf`
+    /// (length `2·d`) and returned as `(lo, hi)`.
+    pub fn block_range<'a>(
+        &self,
+        mut id: CellId,
+        radii: &[usize],
+        buf: &'a mut [usize],
+    ) -> (&'a [usize], &'a [usize]) {
+        let (lo, hi) = buf.split_at_mut(self.dim());
+        for i in (0..self.dim()).rev() {
+            let n = self.cells_per_dim[i];
+            let c = id % n;
+            id /= n;
+            lo[i] = c.saturating_sub(radii[i]);
+            hi[i] = (c + radii[i]).min(n - 1);
+        }
+        (lo, hi)
+    }
+
+    /// Calls `f` on the id of every cell whose per-dimension index lies
+    /// in `lo[i]..=hi[i]`, in ascending id order, until `f` returns
+    /// `false`. Returns whether the walk ran to the end. Nothing is
+    /// allocated, so the caller may stop after the first few cells of a
+    /// large box at the cost of those cells alone.
+    pub fn visit_box(&self, lo: &[usize], hi: &[usize], mut f: impl FnMut(CellId) -> bool) -> bool {
+        debug_assert!(lo.len() == self.dim() && hi.len() == self.dim());
+        self.walk_box(lo, hi, 0, 0, &mut f)
+    }
+
+    /// One level of [`GridSpec::visit_box`]: `prefix` is the row-major id
+    /// of the indices fixed in dimensions `0..i`.
+    fn walk_box<F: FnMut(CellId) -> bool>(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        i: usize,
+        prefix: CellId,
+        f: &mut F,
+    ) -> bool {
+        let base = prefix * self.cells_per_dim[i];
+        if i + 1 == lo.len() {
+            (base + lo[i]..=base + hi[i]).all(f)
+        } else {
+            (lo[i]..=hi[i]).all(|c| self.walk_box(lo, hi, i + 1, base + c, f))
         }
     }
+
+    /// Whether cell `id` lies in the box of per-dimension indices
+    /// `lo[i]..=hi[i]`.
+    pub fn box_contains(&self, lo: &[usize], hi: &[usize], mut id: CellId) -> bool {
+        for i in (0..self.dim()).rev() {
+            let n = self.cells_per_dim[i];
+            let c = id % n;
+            if c < lo[i] || c > hi[i] {
+                return false;
+            }
+            id /= n;
+        }
+        true
+    }
+}
+
+/// Number of cells of a grid with these per-dimension counts, or `None`
+/// when it overflows a [`CellId`].
+fn cell_count(cells_per_dim: &[usize]) -> Option<usize> {
+    cells_per_dim
+        .iter()
+        .try_fold(1usize, |acc, &n| acc.checked_mul(n))
 }
 
 #[cfg(test)]
@@ -427,6 +490,45 @@ mod tests {
     }
 
     #[test]
+    fn rejects_overflowing_cell_count() {
+        let domain = Rect::new(vec![0.0; 8], vec![1.0; 8]).unwrap();
+        let err = GridSpec::new(domain.clone(), vec![1 << 10; 8]).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidParameter {
+                name: "cells_per_dim",
+                ..
+            }
+        ));
+        assert!(GridSpec::new(domain, vec![1 << 7; 8]).is_ok());
+    }
+
+    #[test]
+    fn for_cell_based_coarsens_until_ids_fit() {
+        // Chebyshev side r/2 = 1 over an extent of 512 asks for 512 cells
+        // per dimension, 2^72 in 8-d: the widest dimensions are halved
+        // until the product fits, and the last cell keeps the last id.
+        let domain = Rect::new(vec![0.0; 8], vec![512.0; 8]).unwrap();
+        let g =
+            GridSpec::for_cell_based(&domain, 2.0, crate::metric::Metric::Chebyshev, 1024).unwrap();
+        let counts: Vec<usize> = (0..8).map(|i| g.cells_in_dim(i)).collect();
+        assert!(cell_count(&counts).is_some());
+        assert!(counts.iter().all(|&n| n == 128 || n == 256), "{counts:?}");
+        let last: Vec<usize> = counts.iter().map(|&n| n - 1).collect();
+        assert_eq!(g.linearize(&last), g.num_cells() - 1);
+        assert_eq!(g.cell_of(&[512.0; 8]), g.num_cells() - 1);
+    }
+
+    #[test]
+    fn index_range_clamps_and_rejects_disjoint() {
+        let g = unit_grid(4, 4);
+        let q = Rect::new(vec![-1.0, 0.3], vec![0.3, 5.0]).unwrap();
+        assert_eq!(g.index_range(&q), Some((vec![0, 1], vec![1, 3])));
+        let far = Rect::new(vec![0.2, 1.5], vec![0.4, 2.0]).unwrap();
+        assert_eq!(g.index_range(&far), None);
+    }
+
+    #[test]
     fn three_dimensional_grid() {
         let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
         let g = GridSpec::new(domain, vec![2, 3, 4]).unwrap();
@@ -452,6 +554,36 @@ mod tests {
             // semantics (half-open interior, closed at domain max).
             let rect = g.cell_rect(id);
             prop_assert!(rect.contains_closed(&[x, y]));
+        }
+
+        #[test]
+        fn visit_box_yields_the_box_in_ascending_order(
+            nx in 1usize..6, ny in 1usize..6, nz in 1usize..6,
+            a in proptest::collection::vec(0usize..6, 3),
+            b in proptest::collection::vec(0usize..6, 3),
+            stop in 1usize..40,
+        ) {
+            let domain = Rect::new(vec![0.0; 3], vec![1.0; 3]).unwrap();
+            let g = GridSpec::new(domain, vec![nx, ny, nz]).unwrap();
+            let n = [nx, ny, nz];
+            let lo: Vec<usize> = (0..3).map(|i| a[i].min(b[i]).min(n[i] - 1)).collect();
+            let hi: Vec<usize> = (0..3).map(|i| a[i].max(b[i]).min(n[i] - 1)).collect();
+            let expected: Vec<CellId> = (0..g.num_cells())
+                .filter(|&id| {
+                    let idx = g.delinearize(id);
+                    (0..3).all(|i| lo[i] <= idx[i] && idx[i] <= hi[i])
+                })
+                .collect();
+            for id in 0..g.num_cells() {
+                prop_assert_eq!(g.box_contains(&lo, &hi, id), expected.contains(&id));
+            }
+            let mut seen = Vec::new();
+            let finished = g.visit_box(&lo, &hi, |id| {
+                seen.push(id);
+                seen.len() < stop
+            });
+            prop_assert_eq!(finished, expected.len() < stop);
+            prop_assert_eq!(&seen[..], &expected[..stop.min(expected.len())]);
         }
 
         #[test]

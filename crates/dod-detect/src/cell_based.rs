@@ -22,15 +22,31 @@
 //! cap forces cells wider than `r/(2√d)` the inlier rule is disabled (it
 //! would be unsound) while the outlier rule's per-dimension radius adapts
 //! and stays exact, so the detector is correct for every configuration.
+//!
+//! # Cell enumeration
+//!
+//! A block of radius `ρ` holds `(2ρ+1)^d` cells — 6,561 in 4-d and
+//! 13^8 ≈ 8·10^8 in 8-d — while a partition occupies only as many cells
+//! as it has points, often far fewer. [`CellIndex`] therefore keeps its
+//! non-empty cell ids sorted in `occupied`, and every block visit (the
+//! inlier rule, the outlier rule, the fallback scans, external neighbor
+//! counts) walks whichever is smaller: the block itself, one hash probe
+//! per cell, or the run of occupied ids between the block's first and
+//! last id, each filtered by its per-dimension indices. Both walks yield
+//! cells in ascending id order and stop as soon as the caller has seen
+//! enough, so results and work counters do not depend on the choice.
+//! The range scan needs ids that are monotone in every index, so the
+//! grid caps its total cell count at what a [`CellId`] can address
+//! (see [`GridSpec::for_cell_based`]).
 
 use crate::detector::{Detection, DetectionStats, Detector};
 use crate::partition::Partition;
 use crate::scan::{count_tile_excluding, PermutedScan};
-use dod_core::{GridSpec, OutlierParams, Rect};
+use dod_core::{CellId, GridSpec, NeighborPredicate, OutlierParams};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// The build-phase product of the Cell-Based detector: the grid plus the
 /// hash of every point into its non-empty cell.
@@ -43,7 +59,9 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct CellIndex {
     grid: GridSpec,
-    buckets: HashMap<usize, Bucket>,
+    buckets: HashMap<CellId, Bucket>,
+    /// Ids of the non-empty cells (the keys of `buckets`), ascending.
+    occupied: Vec<CellId>,
     build_ops: u64,
 }
 
@@ -65,7 +83,7 @@ impl CellIndex {
         let grid = GridSpec::for_cell_based(&bounds, params.r, params.metric, max_cells_per_dim)
             .expect("validated params");
         let n_core = partition.core().len();
-        let mut buckets: HashMap<usize, Bucket> = HashMap::new();
+        let mut buckets: HashMap<CellId, Bucket> = HashMap::new();
         for idx in 0..partition.total_len() {
             let p = partition.point(idx);
             let bucket = buckets.entry(grid.cell_of(p)).or_default();
@@ -81,9 +99,12 @@ impl CellIndex {
                 bucket.support_coords.extend_from_slice(p);
             }
         }
+        let mut occupied: Vec<CellId> = buckets.keys().copied().collect();
+        occupied.sort_unstable();
         Some(CellIndex {
             grid,
             buckets,
+            occupied,
             build_ops: partition.total_len() as u64,
         })
     }
@@ -105,7 +126,7 @@ impl CellIndex {
         if !self.grid.domain().contains_closed(p) {
             return false;
         }
-        let bucket = self.buckets.entry(self.grid.cell_of(p)).or_default();
+        let bucket = self.bucket_mut(self.grid.cell_of(p));
         bucket.core.push(core_idx);
         bucket.core_coords.extend_from_slice(p);
         self.build_ops += 1;
@@ -119,11 +140,35 @@ impl CellIndex {
         if !self.grid.domain().contains_closed(p) {
             return false;
         }
-        let bucket = self.buckets.entry(self.grid.cell_of(p)).or_default();
+        let bucket = self.bucket_mut(self.grid.cell_of(p));
         bucket.support.push(support_idx);
         bucket.support_coords.extend_from_slice(p);
         self.build_ops += 1;
         true
+    }
+
+    /// The bucket of `cell`, created (and recorded in `occupied`) when the
+    /// cell was empty.
+    fn bucket_mut(&mut self, cell: CellId) -> &mut Bucket {
+        match self.buckets.entry(cell) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let at = self.occupied.partition_point(|&id| id < cell);
+                self.occupied.insert(at, cell);
+                e.insert(Bucket::default())
+            }
+        }
+    }
+
+    /// Drops the bucket of `cell` (and its `occupied` entry) once it
+    /// holds no point.
+    fn forget_if_empty(&mut self, cell: CellId) {
+        if self.buckets.get(&cell).is_some_and(Bucket::is_empty) {
+            self.buckets.remove(&cell);
+            if let Ok(at) = self.occupied.binary_search(&cell) {
+                self.occupied.remove(at);
+            }
+        }
     }
 
     /// Unhashes core point `core_idx`, located by its coordinates `p`
@@ -133,9 +178,7 @@ impl CellIndex {
         let cell = self.grid.cell_of(p);
         if let Some(bucket) = self.buckets.get_mut(&cell) {
             swap_remove_entry(&mut bucket.core, &mut bucket.core_coords, dim, core_idx);
-            if bucket.is_empty() {
-                self.buckets.remove(&cell);
-            }
+            self.forget_if_empty(cell);
         }
     }
 
@@ -150,9 +193,7 @@ impl CellIndex {
                 dim,
                 support_idx,
             );
-            if bucket.is_empty() {
-                self.buckets.remove(&cell);
-            }
+            self.forget_if_empty(cell);
         }
     }
 
@@ -177,9 +218,9 @@ impl CellIndex {
         }
     }
 
-    /// Counts the **core** points of `partition` within distance `r` of an
-    /// arbitrary query point `q` (which need not belong to the partition),
-    /// stopping early once `cap` neighbors are found.
+    /// Counts the **core** points of `partition` within distance
+    /// `pred.r()` of an arbitrary query point `q` (which need not belong
+    /// to the partition), stopping early once `cap` neighbors are found.
     ///
     /// Only cells intersecting the `[q − r, q + r]` box are visited; that
     /// box contains every possible neighbor under any supported `Lp`
@@ -189,11 +230,10 @@ impl CellIndex {
         &self,
         partition: &Partition,
         q: &[f64],
-        params: OutlierParams,
+        pred: &NeighborPredicate,
         cap: usize,
     ) -> usize {
-        self.count_core_neighbors_traced(partition, q, params, cap)
-            .0
+        self.count_core_neighbors_traced(partition, q, pred, cap).0
     }
 
     /// [`CellIndex::count_core_neighbors`] that also returns the work
@@ -203,32 +243,62 @@ impl CellIndex {
         &self,
         partition: &Partition,
         q: &[f64],
-        params: OutlierParams,
+        pred: &NeighborPredicate,
         cap: usize,
     ) -> (usize, u64) {
         if cap == 0 {
             return (0, 0);
         }
         debug_assert_eq!(q.len(), partition.dim());
-        let pred = params.predicate();
-        let lo: Vec<f64> = q.iter().map(|&v| v - params.r).collect();
-        let hi: Vec<f64> = q.iter().map(|&v| v + params.r).collect();
-        let query = Rect::new(lo, hi).expect("r > 0 makes a valid box");
+        let dim = self.grid.dim();
+        let r = pred.r();
+        let mut bounds = vec![0usize; 2 * dim];
+        let (lo, hi) = bounds.split_at_mut(dim);
+        for (i, &x) in q.iter().enumerate() {
+            let Some(range) = self.grid.dim_range(i, x - r, x + r) else {
+                return (0, 0); // the box misses the grid
+            };
+            (lo[i], hi[i]) = range;
+        }
         let mut count = 0usize;
         let mut work = 0u64;
-        for cell in self.grid.cells_intersecting(&query) {
-            let Some(bucket) = self.buckets.get(&cell) else {
-                continue;
-            };
-            let tile: &[f64] = &bucket.core_coords;
-            let outcome = pred.count_within_tile(q, tile, cap - count);
+        self.visit_block(lo, hi, |_, bucket| {
+            let outcome = pred.count_within_tile(q, &bucket.core_coords, cap - count);
             count += outcome.found;
             work += outcome.scanned as u64;
-            if count >= cap {
-                return (count, work);
-            }
-        }
+            count < cap
+        });
         (count, work)
+    }
+
+    /// Calls `f` on every non-empty cell whose per-dimension index lies
+    /// in `lo[i]..=hi[i]`, in ascending id order, until `f` returns
+    /// `false`. Returns whether the visit ran to the end.
+    ///
+    /// It walks whichever touches fewer cells: the block, one hash probe
+    /// per cell, or the run of `occupied` between the block's first and
+    /// last id, keeping the ids inside the block. Both are lazy, so a
+    /// caller that stops early pays only for the cells it saw.
+    fn visit_block(
+        &self,
+        lo: &[usize],
+        hi: &[usize],
+        mut f: impl FnMut(CellId, &Bucket) -> bool,
+    ) -> bool {
+        let (first, last) = (self.grid.linearize(lo), self.grid.linearize(hi));
+        let from_first = &self.occupied[self.occupied.partition_point(|&id| id < first)..];
+        let block: usize = lo.iter().zip(hi).map(|(l, h)| h - l + 1).product();
+        // The run of occupied ids in `first..=last` holds at least `block`
+        // ids exactly when its `block`-th id is still within `last`.
+        if from_first.get(block - 1).is_some_and(|&id| id <= last) {
+            self.grid
+                .visit_box(lo, hi, |id| self.buckets.get(&id).is_none_or(|b| f(id, b)))
+        } else {
+            let run = &from_first[..from_first.partition_point(|&id| id <= last)];
+            run.iter()
+                .filter(|&&id| self.grid.box_contains(lo, hi, id))
+                .all(|&id| f(id, &self.buckets[&id]))
+        }
     }
 }
 
@@ -361,7 +431,6 @@ impl CellBased {
         }
         let dim = partition.dim();
         let grid = &index.grid;
-        let buckets = &index.buckets;
         let mut stats = DetectionStats {
             index_operations: index.build_ops,
             ..Default::default()
@@ -386,12 +455,7 @@ impl CellBased {
                 }
             })
             .collect();
-
-        // Deterministic cell order.
-        let mut cell_ids: Vec<usize> = buckets.keys().copied().collect();
-        cell_ids.sort_unstable();
-
-        let count_of = |cid: usize| buckets.get(&cid).map_or(0usize, |b| b.len());
+        let ones = vec![1usize; dim];
 
         // Randomized scan order for the paper-faithful full fallback,
         // gathered into a contiguous buffer for the tile kernels.
@@ -405,31 +469,38 @@ impl CellBased {
         };
         let pred = params.predicate();
 
+        // Whether the block `lo..=hi` holds more than k points; the visit
+        // stops as soon as it does.
+        let exceeds_k = |lo: &[usize], hi: &[usize]| {
+            let mut seen = 0usize;
+            !index.visit_block(lo, hi, |_, b| {
+                seen += b.len();
+                seen <= params.k
+            })
+        };
+
+        let mut near = vec![0usize; 2 * dim];
+        let mut candidate = vec![0usize; 2 * dim];
         let mut outliers = Vec::new();
-        for &cid in &cell_ids {
-            let bucket = &buckets[&cid];
-            let core_in_cell = &bucket.core;
+        // Ascending cell ids: a deterministic cell order.
+        for &cid in &index.occupied {
+            let core_in_cell = &index.buckets[&cid].core;
             if core_in_cell.is_empty() {
                 continue; // pure support cell: nothing to classify
             }
-            let idx = grid.delinearize(cid);
 
             // Inlier rule over the 3^d block.
             if inlier_rule_valid {
-                let w1: usize = block_cells(grid, &idx, &vec![1; dim])
-                    .into_iter()
-                    .map(count_of)
-                    .sum();
-                if w1 > params.k {
+                let (lo, hi) = grid.block_range(cid, &ones, &mut near);
+                if exceeds_k(lo, hi) {
                     stats.pruned_points += core_in_cell.len() as u64;
                     continue;
                 }
             }
 
             // Exact candidate block (outlier rule + per-point fallback).
-            let candidate_cells = block_cells(grid, &idx, &radii);
-            let w2: usize = candidate_cells.iter().copied().map(count_of).sum();
-            if w2 <= params.k {
+            let (lo, hi) = grid.block_range(cid, &radii, &mut candidate);
+            if !exceeds_k(lo, hi) {
                 // Even counting itself, no point in C can reach k neighbors.
                 stats.pruned_points += core_in_cell.len() as u64;
                 for &i in core_in_cell {
@@ -454,13 +525,7 @@ impl CellBased {
                     stats.distance_evaluations += scanned;
                     neighbors = found;
                 } else {
-                    for &ccid in &candidate_cells {
-                        if neighbors >= params.k {
-                            break;
-                        }
-                        let Some(cb) = buckets.get(&ccid) else {
-                            continue;
-                        };
+                    index.visit_block(lo, hi, |ccid, cb| {
                         // The point itself lives in its own cell's core
                         // sub-tile; buckets are small, so a linear find
                         // locates it.
@@ -480,7 +545,7 @@ impl CellBased {
                         stats.distance_evaluations += scanned;
                         neighbors += found;
                         if neighbors >= params.k {
-                            break;
+                            return false;
                         }
                         let (found, scanned) = count_tile_excluding(
                             &pred,
@@ -492,7 +557,8 @@ impl CellBased {
                         );
                         stats.distance_evaluations += scanned;
                         neighbors += found;
-                    }
+                        neighbors < params.k
+                    });
                 }
                 if neighbors < params.k {
                     outliers.push(partition.core_id(i as usize));
@@ -504,42 +570,11 @@ impl CellBased {
     }
 }
 
-/// Ids of all grid cells whose per-dimension index differs from `center`
-/// by at most `radii[i]` in dimension `i` (clamped to the grid).
-fn block_cells(grid: &GridSpec, center: &[usize], radii: &[usize]) -> Vec<usize> {
-    let d = center.len();
-    let mut lo = vec![0usize; d];
-    let mut hi = vec![0usize; d];
-    for i in 0..d {
-        lo[i] = center[i].saturating_sub(radii[i]);
-        hi[i] = (center[i] + radii[i]).min(grid.cells_in_dim(i) - 1);
-    }
-    let mut out = Vec::new();
-    let mut cursor = lo.clone();
-    loop {
-        out.push(grid.linearize(&cursor));
-        let mut i = d;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if cursor[i] < hi[i] {
-                cursor[i] += 1;
-                for (j, c) in cursor.iter_mut().enumerate().skip(i + 1) {
-                    *c = lo[j];
-                }
-                break;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::reference::Reference;
-    use dod_core::PointSet;
+    use dod_core::{Metric, PointSet};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -548,21 +583,73 @@ mod tests {
         OutlierParams::new(r, k).unwrap()
     }
 
+    const METRICS: [Metric; 3] = [Metric::Euclidean, Metric::Manhattan, Metric::Chebyshev];
+
+    fn random_points(rng: &mut StdRng, dim: usize, n: usize, extent: f64) -> PointSet {
+        let mut set = PointSet::new(dim).unwrap();
+        for _ in 0..n {
+            let p: Vec<f64> = (0..dim).map(|_| rng.gen_range(0.0..extent)).collect();
+            set.push(&p).unwrap();
+        }
+        set
+    }
+
     fn random_partition(seed: u64, n_core: usize, n_support: usize, extent: f64) -> Partition {
+        random_partition_nd(seed, 2, n_core, n_support, extent)
+    }
+
+    fn random_partition_nd(
+        seed: u64,
+        dim: usize,
+        n_core: usize,
+        n_support: usize,
+        extent: f64,
+    ) -> Partition {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut core = PointSet::new(2).unwrap();
-        for _ in 0..n_core {
-            core.push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
-        let mut support = PointSet::new(2).unwrap();
-        for _ in 0..n_support {
-            support
-                .push(&[rng.gen_range(0.0..extent), rng.gen_range(0.0..extent)])
-                .unwrap();
-        }
+        let core = random_points(&mut rng, dim, n_core, extent);
+        let support = random_points(&mut rng, dim, n_support, extent);
         let ids = (0..n_core as u64).collect();
         Partition::new(core, ids, support).unwrap()
+    }
+
+    /// Brute-force count of the core points of `part` within `r` of `q`.
+    fn linear_count(part: &Partition, q: &[f64], prm: OutlierParams) -> usize {
+        (0..part.core().len())
+            .filter(|&i| prm.neighbors(q, part.core().point(i)))
+            .count()
+    }
+
+    /// Swap-removes core point `victim` from both `part` and `index`,
+    /// renumbering the moved last entry the way `PartitionState` does.
+    fn remove_core_point(part: &mut Partition, index: &mut CellIndex, victim: usize) {
+        let p: Vec<f64> = part.core().point(victim).to_vec();
+        let last = part.core().len() - 1;
+        let moved: Option<Vec<f64>> = (victim < last).then(|| part.core().point(last).to_vec());
+        part.swap_remove_core(victim);
+        index.remove_core(victim as u32, &p);
+        if let Some(mp) = moved {
+            index.renumber_core(last as u32, victim as u32, &mp);
+        }
+    }
+
+    /// [`remove_core_point`] for the support side.
+    fn remove_support_point(part: &mut Partition, index: &mut CellIndex, victim: usize) {
+        let p: Vec<f64> = part.support().point(victim).to_vec();
+        let last = part.support().len() - 1;
+        let moved: Option<Vec<f64>> = (victim < last).then(|| part.support().point(last).to_vec());
+        part.swap_remove_support(victim);
+        index.remove_support(victim as u32, &p);
+        if let Some(mp) = moved {
+            index.renumber_support(last as u32, victim as u32, &mp);
+        }
+    }
+
+    /// `occupied` lists exactly the non-empty buckets, ascending.
+    fn assert_occupied_current(index: &CellIndex) {
+        let mut keys: Vec<CellId> = index.buckets.keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(index.occupied, keys);
+        assert!(index.buckets.values().all(|b| !b.is_empty()));
     }
 
     #[test]
@@ -668,12 +755,22 @@ mod tests {
     fn block_cells_counts() {
         let domain = dod_core::Rect::new(vec![0.0, 0.0], vec![10.0, 10.0]).unwrap();
         let grid = GridSpec::uniform(domain, 10).unwrap();
+        let block_len = |center: &[usize], radius: usize| {
+            let mut buf = [0usize; 4];
+            let (lo, hi) = grid.block_range(grid.linearize(center), &[radius; 2], &mut buf);
+            let mut n = 0;
+            grid.visit_box(lo, hi, |_| {
+                n += 1;
+                true
+            });
+            n
+        };
         // interior cell, radius 1 per dim -> 9 cells
-        assert_eq!(block_cells(&grid, &[5, 5], &[1, 1]).len(), 9);
+        assert_eq!(block_len(&[5, 5], 1), 9);
         // radius 3 -> 49 cells (the paper's 2-d outlier block)
-        assert_eq!(block_cells(&grid, &[5, 5], &[3, 3]).len(), 49);
+        assert_eq!(block_len(&[5, 5], 3), 49);
         // corner clamps
-        assert_eq!(block_cells(&grid, &[0, 0], &[1, 1]).len(), 4);
+        assert_eq!(block_len(&[0, 0], 1), 4);
     }
 
     #[test]
@@ -730,6 +827,7 @@ mod tests {
             let mut idx = CellIndex {
                 grid: index.grid.clone(),
                 buckets: HashMap::new(),
+                occupied: Vec::new(),
                 build_ops: 0,
             };
             for i in 0..part.core().len() {
@@ -754,34 +852,20 @@ mod tests {
         // Remove some core and support points, fixing up the moved-last
         // index exactly the way PartitionState does.
         for &victim in &[3usize, 17, 44, 0] {
-            let p: Vec<f64> = part.core().point(victim).to_vec();
-            let last = part.core().len() - 1;
-            let moved: Option<Vec<f64>> = (victim < last).then(|| part.core().point(last).to_vec());
-            part.swap_remove_core(victim);
-            index.remove_core(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_core(last as u32, victim as u32, &mp);
-            }
+            remove_core_point(&mut part, &mut index, victim);
         }
         for &victim in &[5usize, 0] {
-            let p: Vec<f64> = part.support().point(victim).to_vec();
-            let last = part.support().len() - 1;
-            let moved: Option<Vec<f64>> =
-                (victim < last).then(|| part.support().point(last).to_vec());
-            part.swap_remove_support(victim);
-            index.remove_support(victim as u32, &p);
-            if let Some(mp) = moved {
-                index.renumber_support(last as u32, victim as u32, &mp);
-            }
+            remove_support_point(&mut part, &mut index, victim);
         }
+        assert_occupied_current(&index);
         let fresh = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
         let via_mutations = CellBased::default().detect_with_index(&part, prm, &index);
         let via_fresh = CellBased::default().detect_with_index(&part, prm, &fresh);
         assert_eq!(via_mutations.outliers, via_fresh.outliers);
         for q in [&[0.5, 0.5][..], &[4.0, 4.0], &[7.9, 0.1], &[-3.0, 2.0]] {
             assert_eq!(
-                index.count_core_neighbors(&part, q, prm, usize::MAX),
-                fresh.count_core_neighbors(&part, q, prm, usize::MAX),
+                index.count_core_neighbors(&part, q, &prm.predicate(), usize::MAX),
+                fresh.count_core_neighbors(&part, q, &prm.predicate(), usize::MAX),
                 "query {q:?}"
             );
         }
@@ -790,18 +874,116 @@ mod tests {
         assert!(!index.insert_support(999, &[-1e6, 0.0]));
     }
 
+    #[test]
+    fn cell_id_overflow_does_not_merge_cells() {
+        // 512 cells per dimension in 8-d is 2^72 cells: the row-major id
+        // used to wrap, so the lone point at x = 100.5 shared a bucket
+        // with the cluster and the inlier rule pruned it.
+        let mut core = PointSet::new(8).unwrap();
+        for j in 0..5 {
+            let mut p = vec![0.1; 8];
+            p[0] += 0.01 * j as f64;
+            core.push(&p).unwrap();
+        }
+        let mut lone = vec![0.1; 8];
+        lone[0] = 100.5;
+        core.push(&lone).unwrap();
+        core.push(&[512.0; 8]).unwrap();
+        let p = Partition::standalone(core);
+        let prm = params(2.0, 4).with_metric(Metric::Chebyshev);
+        assert_eq!(Reference.detect(&p, prm).outliers, vec![5, 6]);
+        assert_eq!(CellBased::default().detect(&p, prm).outliers, vec![5, 6]);
+    }
+
+    #[test]
+    fn visit_block_matches_filtered_occupied() {
+        // Random grids and occupancies in 1..=8 dimensions; boxes range
+        // from one cell to the whole grid, so both walks run. Each visit
+        // must yield exactly the occupied ids inside the box, ascending,
+        // and stop where the closure says.
+        let mut rng = StdRng::seed_from_u64(0xB10C);
+        let (mut walked_block, mut scanned_run) = (0, 0);
+        for _ in 0..400 {
+            let dim = rng.gen_range(1..=8);
+            let counts: Vec<usize> = (0..dim).map(|_| rng.gen_range(1..=9)).collect();
+            let domain = dod_core::Rect::new(vec![0.0; dim], vec![1.0; dim]).unwrap();
+            let grid = GridSpec::new(domain, counts.clone()).unwrap();
+            let mut index = CellIndex {
+                grid,
+                buckets: HashMap::new(),
+                occupied: Vec::new(),
+                build_ops: 0,
+            };
+            let n_points = rng.gen_range(0..200);
+            for i in 0..n_points {
+                let cell: Vec<usize> = counts.iter().map(|&n| rng.gen_range(0..n)).collect();
+                let center = index.grid.cell_rect(index.grid.linearize(&cell)).center();
+                assert!(index.insert_core(i, &center));
+            }
+            assert_occupied_current(&index);
+            let (mut lo, mut hi) = (vec![0; dim], vec![0; dim]);
+            for i in 0..dim {
+                let (a, b) = (rng.gen_range(0..counts[i]), rng.gen_range(0..counts[i]));
+                (lo[i], hi[i]) = (a.min(b), a.max(b));
+            }
+            let expected: Vec<CellId> = index
+                .occupied
+                .iter()
+                .copied()
+                .filter(|&id| {
+                    let idx = index.grid.delinearize(id);
+                    (0..dim).all(|i| lo[i] <= idx[i] && idx[i] <= hi[i])
+                })
+                .collect();
+            let block: usize = lo.iter().zip(&hi).map(|(l, h)| h - l + 1).product();
+            let run = index
+                .occupied
+                .iter()
+                .filter(|&&id| index.grid.linearize(&lo) <= id && id <= index.grid.linearize(&hi))
+                .count();
+            if block <= run {
+                walked_block += 1;
+            } else {
+                scanned_run += 1;
+            }
+            let mut seen = Vec::new();
+            let finished = index.visit_block(&lo, &hi, |id, bucket| {
+                assert_eq!(index.buckets[&id].len(), bucket.len());
+                seen.push(id);
+                true
+            });
+            assert!(finished);
+            assert_eq!(seen, expected);
+            // Early stop after `stop` cells.
+            let stop = rng.gen_range(1..=expected.len().max(1));
+            let mut seen = Vec::new();
+            let finished = index.visit_block(&lo, &hi, |id, _| {
+                seen.push(id);
+                seen.len() < stop
+            });
+            assert_eq!(finished, expected.len() < stop);
+            assert_eq!(seen, expected[..stop.min(expected.len())]);
+        }
+        assert!(
+            walked_block > 20 && scanned_run > 20,
+            "{walked_block} / {scanned_run}"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn equivalent_to_reference(
             seed in 0u64..1000,
+            dim in 1usize..=8,
+            metric in 0usize..3,
             n_core in 0usize..70,
             n_support in 0usize..25,
             r in 0.2f64..3.0,
             k in 1usize..6,
         ) {
-            let p = random_partition(seed, n_core, n_support, 8.0);
-            let prm = params(r, k);
+            let p = random_partition_nd(seed, dim, n_core, n_support, 8.0);
+            let prm = params(r, k).with_metric(METRICS[metric]);
             let cb = CellBased::default().detect(&p, prm);
             let rf = Reference.detect(&p, prm);
             prop_assert_eq!(cb.outliers.clone(), rf.outliers.clone());
@@ -828,6 +1010,67 @@ mod tests {
             let cb = CellBased::default().detect(&p, prm);
             let rf = Reference.detect(&p, prm);
             prop_assert_eq!(cb.outliers, rf.outliers);
+        }
+
+        #[test]
+        fn equivalent_to_reference_after_mutations(
+            seed in 0u64..1000,
+            dim in 1usize..=8,
+            metric in 0usize..3,
+            n_core in 1usize..60,
+            n_support in 0usize..20,
+            r in 0.3f64..3.0,
+            k in 1usize..6,
+            ops in 1usize..60,
+        ) {
+            // Random removals and re-insertions splice the index in place
+            // (the grid covers every point of the pool, so re-inserts stay
+            // in its domain); detection and neighbor counts must still
+            // match a brute-force pass over the surviving partition.
+            let prm = params(r, k).with_metric(METRICS[metric]);
+            let pred = prm.predicate();
+            let mut part = random_partition_nd(seed, dim, n_core, n_support, 8.0);
+            let mut index = CellIndex::build(&part, prm, CellBased::DEFAULT_MAX_CELLS_PER_DIM).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+            let (mut removed_core, mut removed_support) = (Vec::new(), Vec::new());
+            let mut next_id = n_core as u64;
+            for _ in 0..ops {
+                match rng.gen_range(0..4) {
+                    0 if part.core().len() > 1 => {
+                        let victim = rng.gen_range(0..part.core().len());
+                        removed_core.push(part.core().point(victim).to_vec());
+                        remove_core_point(&mut part, &mut index, victim);
+                    }
+                    1 if !part.support().is_empty() => {
+                        let victim = rng.gen_range(0..part.support().len());
+                        removed_support.push(part.support().point(victim).to_vec());
+                        remove_support_point(&mut part, &mut index, victim);
+                    }
+                    2 if !removed_core.is_empty() => {
+                        let p = removed_core.swap_remove(rng.gen_range(0..removed_core.len()));
+                        let ci = part.push_core(&p, next_id).unwrap();
+                        next_id += 1;
+                        prop_assert!(index.insert_core(ci as u32, &p));
+                    }
+                    3 if !removed_support.is_empty() => {
+                        let p = removed_support.swap_remove(rng.gen_range(0..removed_support.len()));
+                        let si = part.push_support(&p).unwrap();
+                        prop_assert!(index.insert_support(si as u32, &p));
+                    }
+                    _ => {}
+                }
+            }
+            assert_occupied_current(&index);
+            let via_index = CellBased::default().detect_with_index(&part, prm, &index);
+            prop_assert_eq!(via_index.outliers, Reference.detect(&part, prm).outliers);
+            let mut queries = random_points(&mut rng, dim, 6, 8.0);
+            queries.extend_from(part.core()).unwrap();
+            for q in queries.iter() {
+                let want = linear_count(&part, q, prm);
+                prop_assert_eq!(index.count_core_neighbors(&part, q, &pred, usize::MAX), want);
+                let cap = rng.gen_range(1..=k);
+                prop_assert_eq!(index.count_core_neighbors(&part, q, &pred, cap), want.min(cap));
+            }
         }
     }
 }

@@ -69,6 +69,47 @@ fn full_matrix_matches_reference_in_three_dimensions() {
     }
 }
 
+/// Eight dimensions, where the Cell-Based candidate block holds 13^8
+/// cells: the default plan (DMT, multi-tactic, the CLI's reducer,
+/// partition and sample-rate defaults) must stay exact and visit only the
+/// occupied cells of each block instead of allocating them all.
+#[test]
+fn default_plan_matches_nested_loop_in_eight_dimensions() {
+    let domain = dod_core::Rect::new(vec![0.0; 8], vec![100.0; 8]).unwrap();
+    let data = dod_data::GaussianMixture::random_cities(domain, 8, 3.0, 0.02, 8).generate(2_000, 8);
+    let params = OutlierParams::new(6.0, 8).unwrap();
+    let expected = reference_outliers(&data, params);
+    assert!(!expected.is_empty(), "test data should contain outliers");
+    let config = DodConfig::builder(params)
+        .num_reducers(16)
+        .target_partitions(64)
+        .sample_rate(0.005)
+        .build()
+        .unwrap();
+    let default_plan = DodRunner::builder()
+        .config(config.clone())
+        .strategy(Dmt::default())
+        .multi_tactic()
+        .build();
+    let outcome = default_plan.run(&data).unwrap();
+    let cell_based = outcome
+        .report
+        .algorithm_histogram
+        .iter()
+        .any(|&(kind, n)| kind == AlgorithmKind::CellBased && n > 0);
+    assert!(
+        cell_based,
+        "the plan should route some partitions to cell-based"
+    );
+    assert_eq!(outcome.outliers, expected);
+    let nested_loop = DodRunner::builder()
+        .config(config)
+        .strategy(Dmt::default())
+        .fixed(AlgorithmKind::NestedLoop)
+        .build();
+    assert_eq!(nested_loop.run(&data).unwrap().outliers, expected);
+}
+
 #[test]
 fn repeated_runs_are_deterministic() {
     let data = mixed_density(3, 500);
